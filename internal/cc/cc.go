@@ -14,44 +14,17 @@ package cc
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"congestlb/internal/bitvec"
 )
-
-// Tag identifies a CONGEST message charged to the blackboard by the
-// Theorem 5 simulation: the round it was sent in and the edge it crossed.
-// Tagged entries carry no label string on the hot path; Entries()
-// synthesises one ("r<round>:<from>-><to>") on demand.
-type Tag struct {
-	Round    int
-	From, To int
-}
-
-// Label renders the tag in the transcript label format.
-func (t Tag) Label() string {
-	buf := make([]byte, 0, 24)
-	buf = append(buf, 'r')
-	buf = strconv.AppendInt(buf, int64(t.Round), 10)
-	buf = append(buf, ':')
-	buf = strconv.AppendInt(buf, int64(t.From), 10)
-	buf = append(buf, '-', '>')
-	buf = strconv.AppendInt(buf, int64(t.To), 10)
-	return string(buf)
-}
 
 // Entry is one write to the shared blackboard.
 type Entry struct {
 	// Player is the writing player in [0, t).
 	Player int
 	// Label annotates the write for transcript inspection; it carries no
-	// cost. For entries written by WriteTagged it is synthesised from
-	// Tag when the transcript is read back via Entries.
+	// cost.
 	Label string
-	// Tag carries the structured annotation of WriteTagged entries.
-	Tag Tag
-	// Tagged reports whether this entry was written by WriteTagged.
-	Tagged bool
 	// Data is the payload. Only Bits of it are charged, supporting
 	// sub-byte messages (e.g. a single decision bit).
 	Data []byte
@@ -60,27 +33,20 @@ type Entry struct {
 }
 
 // rec is the compact internal form of a transcript entry: pointer-free
-// (nothing for the garbage collector to scan in a transcript of hundreds
-// of thousands of writes) and payload-addressed by offset into the shared
-// payload buffer, so appending never copies more than the new bytes.
-// labelIdx is 1+index into the labels table for explicitly-labelled
-// writes, 0 for tagged writes (whose label is synthesised from the tag).
+// and payload-addressed by offset into the shared payload buffer, so
+// appending never copies more than the new bytes. Entry i's label is
+// labels[i].
 type rec struct {
-	player          int32
-	round, from, to int32
-	off, length     int32
-	labelIdx        int32
-	bits            int64
+	player      int32
+	off, length int32
+	bits        int64
 }
 
 // Blackboard is the append-only shared transcript. The zero value is an
 // empty blackboard ready for use.
 //
-// Writes are allocation-free in steady state: payloads are appended to an
-// internal buffer addressed by offset, entries are compact pointer-free
-// records, and the per-message annotation of the Theorem 5 simulation is a
-// numeric Tag whose label string materialises only when the transcript is
-// inspected via Entries.
+// Payloads are appended to an internal buffer addressed by offset and
+// entries are compact pointer-free records.
 type Blackboard struct {
 	recs    []rec
 	labels  []string
@@ -94,50 +60,29 @@ type Blackboard struct {
 	hwPayload int
 }
 
-func (b *Blackboard) append(player, labelIdx int32, tag Tag, data []byte, bits int64) {
+// Write appends an entry of the given bit size. bits must be positive and
+// no larger than 8*len(data) (data must actually carry the bits charged).
+// The data is copied; callers may reuse their buffer.
+func (b *Blackboard) Write(player int, label string, data []byte, bits int64) error {
+	if err := CheckWrite(data, bits); err != nil {
+		return err
+	}
 	if b.payload == nil && b.hwPayload > 0 {
 		b.payload = make([]byte, 0, b.hwPayload)
 	}
 	off := int32(len(b.payload))
 	b.payload = append(b.payload, data...)
-	b.recs = append(b.recs, rec{
-		player:   player,
-		round:    int32(tag.Round),
-		from:     int32(tag.From),
-		to:       int32(tag.To),
-		off:      off,
-		length:   int32(len(data)),
-		labelIdx: labelIdx,
-		bits:     bits,
-	})
-	b.bits += bits
-}
-
-// Write appends an entry of the given bit size. bits must be positive and
-// no larger than 8*len(data) (data must actually carry the bits charged).
-// The data is copied; callers may reuse their buffer.
-func (b *Blackboard) Write(player int, label string, data []byte, bits int64) error {
-	if err := b.check(data, bits); err != nil {
-		return err
-	}
+	b.recs = append(b.recs, rec{player: int32(player), off: off, length: int32(len(data)), bits: bits})
 	b.labels = append(b.labels, label)
-	b.append(int32(player), int32(len(b.labels)), Tag{}, data, bits)
+	b.bits += bits
 	return nil
 }
 
-// WriteTagged appends an entry annotated with a numeric tag instead of a
-// label string — the zero-allocation path the CONGEST simulation charges
-// every cut-crossing message through. The data is copied; callers may
-// reuse their buffer.
-func (b *Blackboard) WriteTagged(player int, tag Tag, data []byte, bits int64) error {
-	if err := b.check(data, bits); err != nil {
-		return err
-	}
-	b.append(int32(player), 0, tag, data, bits)
-	return nil
-}
-
-func (b *Blackboard) check(data []byte, bits int64) error {
+// CheckWrite reports whether a write of data charged at bits is
+// admissible: bits must be positive and data must hold them. Write applies
+// it; accounting that charges writes without recording them (the Theorem 5
+// simulation) applies it too, so both reject the same writes.
+func CheckWrite(data []byte, bits int64) error {
 	if bits <= 0 {
 		return fmt.Errorf("cc: write of %d bits", bits)
 	}
@@ -145,27 +90,6 @@ func (b *Blackboard) check(data []byte, bits int64) error {
 		return fmt.Errorf("cc: %d bits charged but payload only holds %d", bits, len(data)*8)
 	}
 	return nil
-}
-
-// entryAt expands the compact record i into the public Entry form. The
-// returned Data aliases the payload buffer current at call time; contents
-// stay valid because the buffer is append-only until Reset, which drops
-// (rather than reuses) it.
-func (b *Blackboard) entryAt(i int) Entry {
-	r := b.recs[i]
-	e := Entry{
-		Player: int(r.player),
-		Data:   b.payload[r.off : r.off+r.length : r.off+r.length],
-		Bits:   r.bits,
-	}
-	if r.labelIdx == 0 {
-		e.Tagged = true
-		e.Tag = Tag{Round: int(r.round), From: int(r.from), To: int(r.to)}
-		e.Label = e.Tag.Label()
-	} else {
-		e.Label = b.labels[r.labelIdx-1]
-	}
-	return e
 }
 
 // WriteBit appends a single-bit entry.
@@ -191,12 +115,18 @@ func (b *Blackboard) WriteVector(player int, label string, v *bitvec.Vector) err
 // Definition 1 for the run in progress.
 func (b *Blackboard) Bits() int64 { return b.bits }
 
-// Entries returns the transcript in the public Entry form, with labels
-// synthesised for tagged entries.
+// Entries returns the transcript in the public Entry form. Each Data
+// aliases the payload buffer; it stays valid because the buffer is
+// append-only until Reset, which drops (rather than reuses) it.
 func (b *Blackboard) Entries() []Entry {
 	out := make([]Entry, len(b.recs))
-	for i := range out {
-		out[i] = b.entryAt(i)
+	for i, r := range b.recs {
+		out[i] = Entry{
+			Player: int(r.player),
+			Label:  b.labels[i],
+			Data:   b.payload[r.off : r.off+r.length : r.off+r.length],
+			Bits:   r.bits,
+		}
 	}
 	return out
 }
@@ -216,28 +146,6 @@ func (b *Blackboard) Reset() {
 	// Drop (don't truncate) the payload buffer: transcript views handed
 	// out by Entries alias it and must survive the reuse.
 	b.payload = nil
-}
-
-// PayloadBytes returns the current payload buffer length — the transcript
-// volume in bytes (bits are charged separately and may be fewer).
-func (b *Blackboard) PayloadBytes() int { return len(b.payload) }
-
-// Grow pre-sizes the blackboard for a transcript of the given entry count
-// and payload volume, so a simulation whose scale is known up front (e.g.
-// from the previous run's high-water mark) appends without any
-// grow-and-copy. Growing the payload is only safe while the transcript is
-// empty — handed-out entry views alias a non-empty buffer — so a non-empty
-// blackboard only grows its record table.
-func (b *Blackboard) Grow(entries, payloadBytes int) {
-	if entries > cap(b.recs) {
-		grown := make([]rec, len(b.recs), entries)
-		copy(grown, b.recs)
-		b.recs = grown
-	}
-	if len(b.payload) == 0 && payloadBytes > cap(b.payload) {
-		b.payload = nil // drop the undersized block before re-allocating
-		b.payload = make([]byte, 0, payloadBytes)
-	}
 }
 
 // ReadVector decodes entry index idx back into a bit vector of length k.

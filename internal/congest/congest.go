@@ -33,7 +33,6 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"sync/atomic"
 
 	"congestlb/internal/graphs"
 )
@@ -314,23 +313,6 @@ func (n *Network) RunCtx(ctx context.Context) (Result, error) {
 	if workers := n.effectiveWorkers(); workers > 1 {
 		return n.runPipelined(ctx, workers, maxRounds)
 	}
-	// Fresh Networks seed their arena from the process-wide high-water
-	// mark, so the first rounds of a new run skip the grow-and-orphan
-	// doubling the previous runs already paid for. The seed is capped at
-	// this network's own per-round ceiling — 2m directed messages of at
-	// most B bits each — so a small network never inherits a huge run's
-	// block (with concurrent Networks that would multiply peak RSS for no
-	// benefit).
-	if n.arena.buf == nil {
-		hw := arenaHighWater.Load()
-		if ceil := int64(2*n.g.M()) * ((n.bw + 7) / 8); hw > ceil {
-			hw = ceil
-		}
-		if hw > 0 {
-			n.arena.buf = make([]byte, hw)
-		}
-	}
-	defer n.recordArenaHighWater()
 	n.arena.reset()
 
 	for round := 1; ; round++ {
@@ -442,39 +424,6 @@ func (n *Network) effectiveWorkers() int {
 		w = 1
 	}
 	return w
-}
-
-// arenaHighWater remembers the delivery-arena block size recent Runs in
-// this process settled on. New Networks pre-size their arena from it, so a
-// fresh Network serving a workload the process has seen before reaches its
-// steady state without any doubling steps.
-var arenaHighWater atomic.Int64
-
-// recordArenaHighWater folds this run's settled arena size into the
-// process-wide estimate. Growth takes effect immediately; shrinkage decays
-// — a run that settled below the stored estimate pulls it a quarter of the
-// way down. A one-off huge run (a big batch, a scaling sweep) therefore
-// stops inflating fresh Networks after a handful of small runs, instead of
-// pinning the estimate at its lifetime peak forever. Runs that delivered
-// nothing at all carry no sizing information and leave the estimate alone.
-func (n *Network) recordArenaHighWater() {
-	size := int64(len(n.arena.buf))
-	if size == 0 {
-		return
-	}
-	for {
-		cur := arenaHighWater.Load()
-		target := size
-		if size < cur {
-			// size + 3/4 of the gap: floors to size itself once the gap
-			// closes, so the estimate converges exactly instead of
-			// stalling a few bytes high on integer division.
-			target = size + (cur-size)*3/4
-		}
-		if target == cur || arenaHighWater.CompareAndSwap(cur, target) {
-			return
-		}
-	}
 }
 
 // stepRange invokes Round (or AppendRound) for nodes [lo, hi) in ID order.

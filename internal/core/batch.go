@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"congestlb/internal/bitvec"
-	"congestlb/internal/cc"
 	"congestlb/internal/congest"
 	"congestlb/internal/obs"
 )
@@ -29,12 +28,10 @@ type BatchSim struct {
 // meaningful iff errs[i] is nil), plus the engine's batch statistics.
 //
 // Each report is field-for-field identical to what SimulateBuiltCtx would
-// return for the same sim, with one exception: SolveCacheHits/Misses stay
-// zero. The shared solve cache's counter deltas cannot be attributed to
-// one instance of an interleaved lockstep pass; callers that need
-// attribution take the delta across the whole batch (the experiment
-// runner books it per batch job) or route solves through a private
-// session cache as congestlb.Lab does.
+// return for the same sim. SolveCacheHits/Misses stay zero as there; a
+// caller that owns the solve session sees the whole batch's traffic on
+// it, but cannot attribute it to one instance of the interleaved lockstep
+// pass.
 func SimulateBatch(ctx context.Context, sims []BatchSim) ([]SimulationReport, []error, congest.BatchStats) {
 	reports := make([]SimulationReport, len(sims))
 	errs := make([]error, len(sims))
@@ -47,12 +44,11 @@ func SimulateBatch(ctx context.Context, sims []BatchSim) ([]SimulationReport, []
 	defer sp.End()
 	em := congest.NewEngineMetrics(obs.FromContext(ctx))
 
-	// Per-sim pre-work mirroring SimulateBuiltCtx: truth evaluation,
-	// blackboard pre-sized from the process high-water mark, the
-	// cut-routing hook. Sims that fail pre-work never enter the engine.
+	// Per-sim pre-work mirroring SimulateBuiltCtx: truth evaluation and
+	// the cut-charging hook. Sims that fail pre-work never enter the
+	// engine.
 	type prep struct {
-		board  cc.Blackboard
-		writes int64
+		charge cutCharge
 		truth  bool
 	}
 	preps := make([]*prep, len(sims))
@@ -66,28 +62,13 @@ func SimulateBatch(ctx context.Context, sims []BatchSim) ([]SimulationReport, []
 			continue
 		}
 		p := &prep{truth: truth}
-		p.board.Grow(int(boardHWEntries.Load()), int(boardHWPayload.Load()))
 		preps[i] = p
 
-		part := s.Inst.Partition
-		userHook := s.Cfg.Hook
 		cfg := s.Cfg
 		if cfg.Metrics == nil {
 			cfg.Metrics = em
 		}
-		cfg.Hook = func(round int, msg congest.Message) error {
-			if part.Of(msg.From) != part.Of(msg.To) {
-				tag := cc.Tag{Round: round, From: msg.From, To: msg.To}
-				if err := p.board.WriteTagged(part.Of(msg.From), tag, msg.Data, msg.Bits()); err != nil {
-					return err
-				}
-				p.writes++
-			}
-			if userHook != nil {
-				return userHook(round, msg)
-			}
-			return nil
-		}
+		cfg.Hook = p.charge.hook(s.Inst.Partition, cfg.Hook)
 		items = append(items, congest.BatchItem{
 			Graph:    s.Inst.Graph,
 			Programs: s.Factory(s.Inst),
@@ -115,9 +96,6 @@ func SimulateBatch(ctx context.Context, sims []BatchSim) ([]SimulationReport, []
 			errs[i] = err
 			continue
 		}
-		storeMax(&boardHWEntries, int64(p.board.Len()))
-		storeMax(&boardHWPayload, int64(p.board.PayloadBytes()))
-
 		g := s.Inst.Graph
 		bw := s.Cfg.BandwidthBits
 		if bw == 0 {
@@ -131,8 +109,8 @@ func SimulateBatch(ctx context.Context, sims []BatchSim) ([]SimulationReport, []
 			CutSize:          cut,
 			Bandwidth:        bw,
 			Rounds:           results[k].Stats.Rounds,
-			BlackboardBits:   p.board.Bits(),
-			BlackboardWrites: p.writes,
+			BlackboardBits:   p.charge.bits,
+			BlackboardWrites: p.charge.writes,
 			CongestTotalBits: results[k].Stats.TotalBits,
 			AccountingBound:  int64(results[k].Stats.Rounds) * int64(cut) * bw,
 			Opt:              opt,

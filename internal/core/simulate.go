@@ -3,19 +3,17 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"congestlb/internal/bitvec"
 	"congestlb/internal/cc"
 	"congestlb/internal/congest"
 	"congestlb/internal/graphs"
-	"congestlb/internal/mis/cache"
 	"congestlb/internal/obs"
 )
 
 // SimulationReport is the outcome of one run of the Theorem 5 simulation:
 // a CONGEST algorithm executed on G_x̄ with every cut-crossing message
-// written to a shared blackboard.
+// charged to the shared blackboard.
 type SimulationReport struct {
 	// Family and Players identify the construction.
 	Family  string
@@ -37,16 +35,12 @@ type SimulationReport struct {
 	CongestTotalBits int64
 	// AccountingBound is Rounds·CutSize·Bandwidth.
 	AccountingBound int64
-	// SolveCacheHits and SolveCacheMisses are the shared exact-solve
-	// cache's counter deltas observed across this run: in a GossipExact
-	// run the n per-node solves of the identical learned graph show up as
-	// one miss and n-1 hits. The deltas are exact for a sequential caller;
-	// when several simulations run concurrently (the sharded experiment
-	// runner) they are attributed approximately, since the counters are
-	// process-global. Callers that route solves through a private cache
-	// (congestlb.Lab.RunReduction) overwrite both fields from their
-	// session's exact per-call counters, since the shared deltas would
-	// describe someone else's traffic entirely.
+	// SolveCacheHits and SolveCacheMisses count the exact-solve cache
+	// lookups of this run: in a GossipExact run the n per-node solves of
+	// the identical learned graph show up as one miss and n-1 hits. The
+	// simulation cannot see which cache the node programs use, so it
+	// leaves both zero; a caller that owns the programs' solve session
+	// (congestlb.Lab.RunReduction) fills them from the session's counters.
 	SolveCacheHits, SolveCacheMisses uint64
 	// Opt is the MaxIS value extracted from the algorithm's outputs.
 	Opt int64
@@ -66,18 +60,32 @@ func (r SimulationReport) AccountingHolds() bool {
 // Correct reports whether the induced protocol answered correctly.
 func (r SimulationReport) Correct() bool { return r.Decision == r.Truth }
 
-// boardHWEntries/boardHWPayload remember the largest blackboard transcript
-// (entry count / payload bytes) any Simulate call in this process
-// produced; the next call pre-sizes its fresh blackboard accordingly.
-var boardHWEntries, boardHWPayload atomic.Int64
+// cutCharge is the Theorem 5 charge of one run: the bits and the number of
+// writes of the messages that cross the player partition. The owner of
+// the sender writes each such message on the shared blackboard, where the
+// owner of the receiver reads it; only its length enters the accounting,
+// so the transcript itself is not kept.
+type cutCharge struct {
+	bits, writes int64
+}
 
-// storeMax raises v to at least x.
-func storeMax(v *atomic.Int64, x int64) {
-	for {
-		cur := v.Load()
-		if x <= cur || v.CompareAndSwap(cur, x) {
-			return
+// hook returns a message hook that charges every cut-crossing message to
+// c and then passes the message on to next (if any). A cut-crossing
+// message the blackboard would refuse (cc.CheckWrite) fails the run.
+func (c *cutCharge) hook(part *graphs.Partition, next congest.MessageHook) congest.MessageHook {
+	return func(round int, msg congest.Message) error {
+		if part.Of(msg.From) != part.Of(msg.To) {
+			bits := msg.Bits()
+			if err := cc.CheckWrite(msg.Data, bits); err != nil {
+				return err
+			}
+			c.bits += bits
+			c.writes++
 		}
+		if next != nil {
+			return next(round, msg)
+		}
+		return nil
 	}
 }
 
@@ -90,9 +98,10 @@ type ProgramFactory func(inst Instance) []congest.NodeProgram
 type OptExtractor func(result congest.Result, inst Instance) (int64, error)
 
 // Simulate realises Theorem 5 for one input vector: it builds G_x̄, runs
-// the given CONGEST algorithm on it, routes every message crossing the
-// player partition onto a cc.Blackboard, and decides the promise pairwise
-// disjointness function from the algorithm's output via the gap predicate.
+// the given CONGEST algorithm on it, charges every message crossing the
+// player partition to the shared blackboard, and decides the promise
+// pairwise disjointness function from the algorithm's output via the gap
+// predicate.
 //
 // The returned report carries both sides of the accounting identity — the
 // actual transcript length and the Rounds·|cut|·B bound — so callers (and
@@ -141,44 +150,18 @@ func SimulateBuiltCtx(ctx context.Context, fam Family, in bitvec.Inputs, inst In
 	}
 	g, part := inst.Graph, inst.Partition
 
-	// Pre-size the transcript from the previous simulation's high-water
-	// mark: reduction runs at one scale are typically repeated (benchmark
-	// iterations, experiment sweeps), and the blackboard otherwise regrows
-	// from nothing by append-doubling on every run.
-	var board cc.Blackboard
-	board.Grow(int(boardHWEntries.Load()), int(boardHWPayload.Load()))
-	var writes int64
-	userHook := cfg.Hook
-	cfg.Hook = func(round int, msg congest.Message) error {
-		if part.Of(msg.From) != part.Of(msg.To) {
-			// The owner of the sender writes the message on the shared
-			// blackboard, where the owner of the receiver reads it. The
-			// structured tag replaces the old per-message label string:
-			// it renders identically on transcript inspection but costs
-			// no allocation per cut-crossing message.
-			tag := cc.Tag{Round: round, From: msg.From, To: msg.To}
-			if err := board.WriteTagged(part.Of(msg.From), tag, msg.Data, msg.Bits()); err != nil {
-				return err
-			}
-			writes++
-		}
-		if userHook != nil {
-			return userHook(round, msg)
-		}
-		return nil
-	}
+	var charge cutCharge
+	cfg.Hook = charge.hook(part, cfg.Hook)
 
 	programs := factory(inst)
 	net, err := congest.NewNetwork(g, programs, cfg)
 	if err != nil {
 		return SimulationReport{}, fmt.Errorf("core: network: %w", err)
 	}
-	cacheBefore := cache.Shared().Stats()
 	result, err := net.RunCtx(ctx)
 	if err != nil {
 		return SimulationReport{}, fmt.Errorf("core: run: %w", err)
 	}
-	cacheAfter := cache.Shared().Stats()
 	opt, err := extract(result, inst)
 	if err != nil {
 		return SimulationReport{}, fmt.Errorf("core: extract: %w", err)
@@ -188,9 +171,6 @@ func SimulateBuiltCtx(ctx context.Context, fam Family, in bitvec.Inputs, inst In
 		return SimulationReport{}, err
 	}
 
-	storeMax(&boardHWEntries, int64(board.Len()))
-	storeMax(&boardHWPayload, int64(board.PayloadBytes()))
-
 	cut := part.CutSize(g)
 	report := SimulationReport{
 		Family:           fam.Name(),
@@ -199,12 +179,10 @@ func SimulateBuiltCtx(ctx context.Context, fam Family, in bitvec.Inputs, inst In
 		CutSize:          cut,
 		Bandwidth:        net.Bandwidth(),
 		Rounds:           result.Stats.Rounds,
-		BlackboardBits:   board.Bits(),
-		BlackboardWrites: writes,
+		BlackboardBits:   charge.bits,
+		BlackboardWrites: charge.writes,
 		CongestTotalBits: result.Stats.TotalBits,
 		AccountingBound:  int64(result.Stats.Rounds) * int64(cut) * net.Bandwidth(),
-		SolveCacheHits:   cacheAfter.Hits - cacheBefore.Hits,
-		SolveCacheMisses: cacheAfter.Misses - cacheBefore.Misses,
 		Opt:              opt,
 		Decision:         decision,
 		Truth:            truth,

@@ -48,7 +48,6 @@ import (
 	"congestlb/internal/experiments"
 	"congestlb/internal/fault"
 	"congestlb/internal/lbgraph"
-	"congestlb/internal/mis"
 	"congestlb/internal/mis/cache"
 	"congestlb/internal/obs"
 )
@@ -282,9 +281,6 @@ func RunCtx(ctx context.Context, exps []experiments.Experiment, opts Options, w 
 		w = io.Discard
 	}
 	solverWorkers := opts.SolverWorkers
-	if solverWorkers <= 0 {
-		solverWorkers = mis.DefaultWorkers()
-	}
 	if solverWorkers <= 0 {
 		solverWorkers = runtime.GOMAXPROCS(0)
 	}

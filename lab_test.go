@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -345,7 +346,7 @@ func TestLabRunReductionCancelled(t *testing.T) {
 
 // TestLabCloseSemantics: Close is idempotent (a second Close is safe and
 // reports ErrClosed instead of panicking), rejects further experiment
-// runs, keeps pure solves working, and the default Lab refuses to close.
+// runs and keeps pure solves working.
 func TestLabCloseSemantics(t *testing.T) {
 	_, inst := buildTestInstance(t, 59)
 	lab, err := congestlb.New(congestlb.WithJobs(2))
@@ -367,9 +368,6 @@ func TestLabCloseSemantics(t *testing.T) {
 	}
 	if _, err := lab.ExactMaxIS(context.Background(), inst); err != nil {
 		t.Fatalf("closed Lab lost pure solving: %v", err)
-	}
-	if err := congestlb.DefaultLab().Close(); err == nil {
-		t.Fatal("default Lab allowed Close")
 	}
 }
 
@@ -453,10 +451,9 @@ func TestLabSolverWorkersOption(t *testing.T) {
 	if env.SolverWorkers != 2 {
 		t.Fatalf("envelope solver workers %d, want 2", env.SolverWorkers)
 	}
-	// Isolation: configuring this Lab never touched the process-wide
-	// default the old globals govern.
-	if got := congestlb.DefaultLab().SolverWorkers(); got == 2 || got == 3 {
-		t.Fatalf("default Lab observed an isolated Lab's worker setting: %d", got)
+	// Isolation: configuring this Lab never touched another Lab's default.
+	if got := newTestLab(t).SolverWorkers(); got != 0 {
+		t.Fatalf("fresh Lab observed another Lab's worker setting: %d", got)
 	}
 }
 
@@ -596,5 +593,64 @@ func TestLabRunReductionBatchCancelled(t *testing.T) {
 	}
 	if stats.Instances != 0 {
 		t.Fatalf("cancelled batch reported %d instances", stats.Instances)
+	}
+}
+
+// TestLabReductionAllocIndependentOfHistory: the cost of a reduction is a
+// property of its own instance, not of what ran before it in the process.
+// A small RunReduction on the figure instance must allocate the same bytes
+// per op before and after another Lab runs a much larger reduction.
+func TestLabReductionAllocIndependentOfHistory(t *testing.T) {
+	p := congestlb.FigureParams(2)
+	fam, err := congestlb.NewLinear(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(77))
+	in, _, err := congestlb.RandomUniquelyIntersecting(fam.InputBits(), p.T, 0.3, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab := newTestLab(t)
+	ctx := context.Background()
+	cfg := congestlb.CongestConfig{Seed: 7}
+	small := func() {
+		t.Helper()
+		if _, err := lab.RunReduction(ctx, fam, in, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// bytesPerOp averages TotalAlloc deltas over several steady-state runs
+	// (the first run warms the Lab's caches and is not measured).
+	bytesPerOp := func() float64 {
+		t.Helper()
+		const ops = 20
+		small()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < ops; i++ {
+			small()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / ops
+	}
+	fresh := bytesPerOp()
+
+	bigP := congestlb.Params{T: 3, Alpha: 1, Ell: 4} // n=90
+	bigFam, err := congestlb.NewLinear(bigP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigIn, _, err := congestlb.RandomUniquelyIntersecting(bigFam.InputBits(), bigP.T, 0.3, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := newTestLab(t).RunReduction(ctx, bigFam, bigIn, congestlb.CongestConfig{Seed: 11}); err != nil {
+		t.Fatal(err)
+	}
+
+	after := bytesPerOp()
+	if after > fresh*1.1 || after < fresh*0.9 {
+		t.Fatalf("small reduction allocates %.0f B/op after a large one, %.0f B/op before (want within 10%%)", after, fresh)
 	}
 }
